@@ -162,9 +162,9 @@ func BenchmarkAblation_MasterSolvers(b *testing.B) {
 			})
 		}
 	}
-	// N=16 incremental A/B: the tentpole's target scale. The exhaustive
-	// traversal uses a 2-level grid (2^16 points per master solve; 3^16 is
-	// out of reach for any mode), the pruned master the default 3 levels.
+	// N=16: the incremental engine's target scale. The exhaustive traversal
+	// uses a 2-level grid (2^16 points per master solve), the pruned master
+	// the default 3 levels.
 	for _, tc := range []struct {
 		name     string
 		master   gbd.MasterSolver
@@ -173,27 +173,19 @@ func BenchmarkAblation_MasterSolvers(b *testing.B) {
 		{"traversal", gbd.MasterTraversal, 2},
 		{"pruned", gbd.MasterPruned, 3},
 	} {
-		for _, mode := range []struct {
-			name string
-			inc  game.Toggle
-		}{
-			{"on", game.ToggleOn},
-			{"off", game.ToggleOff},
-		} {
-			b.Run(fmt.Sprintf("%s/N=16/incremental=%s", tc.name, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, N: 16, CPUSteps: tc.cpuSteps, NoOrgName: true})
-				if err != nil {
+		b.Run(tc.name+"/N=16", func(b *testing.B) {
+			b.ReportAllocs()
+			cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, N: 16, CPUSteps: tc.cpuSteps, NoOrgName: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := gbd.Solve(cfg, gbd.Options{Master: tc.master, Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := gbd.Solve(cfg, gbd.Options{Master: tc.master, Workers: 1, Incremental: mode.inc}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -310,36 +302,24 @@ func BenchmarkBestResponse(b *testing.B) {
 			}
 		})
 	}
-	// N=16 incremental A/B: the pooled engine's O(N) deltas against the
-	// naive O(N²) reference scan on the identical (byte-for-byte) problem.
-	for _, mode := range []string{"on", "off"} {
-		b.Run(fmt.Sprintf("N=16/incremental=%s", mode), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, N: 16, NoOrgName: true})
-			if err != nil {
-				b.Fatal(err)
+	// N=16: the pooled engine's O(N) payoff deltas at the incremental
+	// engine's target scale.
+	b.Run("N=16", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, N: 16, NoOrgName: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := cfg.MinimalProfile()
+		eng := dbr.NewEngine(cfg)
+		eng.Bind(p)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, ok := eng.BestResponse(i%cfg.N(), 1e-7, 1); !ok {
+				b.Fatal("no feasible response")
 			}
-			p := cfg.MinimalProfile()
-			scan := func(i int) bool {
-				_, _, ok := dbr.BestResponseNaive(cfg, p, i, 1e-7, 1)
-				return ok
-			}
-			if mode == "on" {
-				eng := dbr.NewEngine(cfg)
-				eng.Bind(p)
-				scan = func(i int) bool {
-					_, _, ok := eng.BestResponse(i, 1e-7, 1)
-					return ok
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !scan(i % cfg.N()) {
-					b.Fatal("no feasible response")
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkSettlement(b *testing.B) {

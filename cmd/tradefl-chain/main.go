@@ -80,15 +80,11 @@ func run(args []string) (err error) {
 		shards   = fs.Int("shards", chain.DefaultShards, "account-state shards K (execution parallelism; state roots are identical for any K)")
 		pipeline = fs.Bool("pipeline", true, "overlap admission/execution/group-commit in the seal pipeline (false = serial pre-pipelining mode)")
 		chaos    = fs.String("chaos", "", "inject server-side RPC faults, e.g. \"seed=7,rpcfail=0.1,rpcdelayp=0.2\"")
-		incr     = fs.String("incremental", "on", "incremental evaluation engine: on|off (A/B; outputs are byte-identical)")
 		verifyOn = fs.Bool("verify", false, "audit settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
 
 		obsFlags = obs.RegisterFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := game.ApplyIncrementalFlag(*incr); err != nil {
 		return err
 	}
 	if *verifyOn {

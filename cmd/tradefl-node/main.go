@@ -61,7 +61,6 @@ func run(args []string) (err error) {
 		retries  = fs.Int("send-retries", transport.DefaultSendAttempts, "TCP send attempts before a peer counts as unreachable")
 		backoff  = fs.Duration("send-backoff", transport.DefaultSendBackoff, "base backoff between TCP send attempts")
 		workers  = fs.Int("workers", 0, "best-response worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		incr     = fs.String("incremental", "on", "incremental evaluation engine: on|off (A/B; outputs are byte-identical)")
 		verifyOn = fs.Bool("verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
 		obsFlags = obs.RegisterFlags(fs)
 	)
@@ -82,9 +81,6 @@ func run(args []string) (err error) {
 		}
 	}()
 	parallel.SetDefault(*workers)
-	if err := game.ApplyIncrementalFlag(*incr); err != nil {
-		return err
-	}
 	if *verifyOn {
 		verify.Enable(verify.Options{})
 	}

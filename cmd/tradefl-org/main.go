@@ -61,7 +61,6 @@ func run(args []string) (err error) {
 		poll     = fs.Duration("poll", 500*time.Millisecond, "status poll interval")
 		timeout  = fs.Duration("timeout", 2*time.Minute, "settlement deadline")
 		workers  = fs.Int("workers", 0, "best-response worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		incr     = fs.String("incremental", "on", "incremental evaluation engine: on|off (A/B; outputs are byte-identical)")
 		verifyOn = fs.Bool("verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
 
 		rpcTimeout = fs.Duration("rpc-timeout", 10*time.Second, "per-RPC-attempt deadline")
@@ -86,9 +85,6 @@ func run(args []string) (err error) {
 		}
 	}()
 	parallel.SetDefault(*workers)
-	if err := game.ApplyIncrementalFlag(*incr); err != nil {
-		return err
-	}
 	if *verifyOn {
 		verify.Enable(verify.Options{})
 	}

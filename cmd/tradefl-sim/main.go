@@ -24,7 +24,6 @@ import (
 
 	"tradefl/internal/chaos"
 	"tradefl/internal/experiments"
-	"tradefl/internal/game"
 	"tradefl/internal/obs"
 	"tradefl/internal/parallel"
 	"tradefl/internal/verify"
@@ -62,7 +61,6 @@ func run(args []string) (err error) {
 		planName = fs.String("plan", "auto", "fleet solver plan: auto|pruned|traversal|dbr (auto picks per instance by cost model)")
 		planProf = fs.String("plan-profile", "", "planner cost-profile JSON; loaded if present, else self-calibrated and saved")
 		workers  = fs.Int("workers", 0, "solver/kernel worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		incr     = fs.String("incremental", "on", "incremental evaluation engine: on|off (A/B; outputs are byte-identical)")
 		verifyOn = fs.Bool("verify", false, "audit solver and settlement invariants at runtime (tradefl_verify_* metrics; nonzero exit on violation)")
 		summary  = fs.String("summary", "text", "end-of-run solver summary: text|json|none")
 		diagHold = fs.Duration("diag-hold", 0, "keep the diagnostics server alive this long after the run (requires -diag-addr)")
@@ -90,9 +88,6 @@ func run(args []string) (err error) {
 		}
 	}()
 	parallel.SetDefault(*workers)
-	if err := game.ApplyIncrementalFlag(*incr); err != nil {
-		return err
-	}
 	if *verifyOn {
 		verify.Enable(verify.Options{})
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -43,6 +44,45 @@ func TestClientConcurrentCalls(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestServerCloseDropsUnusedConns: a connection that was dialed but never
+// sent a request (a client transport pools such connections under
+// concurrency) must not hold Close for the whole shutdown grace.
+func TestServerCloseDropsUnusedConns(t *testing.T) {
+	f := newFixture(t, 2)
+	srv, err := NewServer(f.bc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve() }()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		accepted := len(srv.fresh)
+		srv.mu.Unlock()
+		if accepted == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never accepted the idle connection")
+		}
+	}
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("Close took %v with one unused connection open", took)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("serve: %v", err)
 	}
 }
 

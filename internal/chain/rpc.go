@@ -99,6 +99,12 @@ type Server struct {
 	bc   *Blockchain
 	http *http.Server
 	ln   net.Listener
+
+	// fresh holds the connections that have not yet read a request
+	// (http.StateNew); closing is set once Shutdown has begun.
+	mu      sync.Mutex
+	fresh   map[net.Conn]struct{}
+	closing bool
 }
 
 // NewServer wraps the chain in an RPC server listening on addr
@@ -115,7 +121,7 @@ func NewServerWith(bc *Blockchain, addr string, mw func(http.Handler) http.Handl
 	if err != nil {
 		return nil, fmt.Errorf("chain rpc: listen: %w", err)
 	}
-	s := &Server{bc: bc, ln: ln}
+	s := &Server{bc: bc, ln: ln, fresh: make(map[net.Conn]struct{})}
 	var h http.Handler = http.HandlerFunc(s.handle)
 	if mw != nil {
 		h = mw(h)
@@ -126,8 +132,41 @@ func NewServerWith(bc *Blockchain, addr string, mw func(http.Handler) http.Handl
 	// so a slow-trickled request body cannot hold a connection open
 	// indefinitely; every RPC route is strictly request/response, so no
 	// handler needs a deadline opt-out.
-	s.http = httpx.Harden(&http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second})
+	s.http = httpx.Harden(&http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second, ConnState: s.trackConn})
+	s.http.RegisterOnShutdown(s.dropFresh)
 	return s, nil
+}
+
+// trackConn records which connections have not read a request yet.
+// http.Server.Shutdown counts such a connection as busy until it is 5 s
+// old, so a client that pooled a dialed-but-unused connection would stall
+// Close for the whole shutdown grace.
+func (s *Server) trackConn(c net.Conn, st http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st != http.StateNew {
+		delete(s.fresh, c)
+		return
+	}
+	if s.closing {
+		c.Close()
+		return
+	}
+	s.fresh[c] = struct{}{}
+}
+
+// dropFresh runs once Shutdown has closed the listener: it closes every
+// connection that has not read a request, so Shutdown waits only for
+// requests in flight. A request whose headers are still arriving is
+// dropped, as it would be had it dialed after the listener closed.
+func (s *Server) dropFresh() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closing = true
+	for c := range s.fresh {
+		c.Close()
+	}
+	clear(s.fresh)
 }
 
 // Addr returns the bound address.

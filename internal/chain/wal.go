@@ -373,11 +373,6 @@ func (w *WAL) Abort(keepBytes int64) (int64, error) {
 	w.err = ErrWALAborted
 	queue := w.queue
 	w.queue = nil
-	f := w.f
-	w.f = nil
-	seq := w.seq
-	synced := w.syncedOff
-	size := w.size
 	w.mu.Unlock()
 	for _, op := range queue {
 		if op.done != nil {
@@ -386,6 +381,18 @@ func (w *WAL) Abort(keepBytes int64) (int64, error) {
 	}
 	w.wake()
 	<-w.done
+	// Read the segment and its frontiers only after the syncer has joined:
+	// a commit or rotation already in flight may still have fsynced (and
+	// acknowledged and observed) records, advancing syncedOff, or opened
+	// the next segment. Chopping to a frontier read before the join would
+	// lose records already reported durable.
+	w.mu.Lock()
+	f := w.f
+	w.f = nil
+	seq := w.seq
+	synced := w.syncedOff
+	size := w.size
+	w.mu.Unlock()
 	var cut int64
 	if f != nil {
 		st, err := f.Stat()

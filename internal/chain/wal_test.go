@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tradefl/internal/durable"
 )
@@ -154,6 +156,45 @@ func TestWALAbortFailsPendingAndFutureAppends(t *testing.T) {
 	// The synced record survived the abort.
 	if got := scanSegment(t, filepath.Join(dir, segmentName(1))); len(got) != 1 || got[0].Term != 1 {
 		t.Fatalf("post-abort segment: %+v", got)
+	}
+}
+
+// TestWALAbortKeepsObservedRecords is the regression test for Abort
+// racing an in-flight group commit: a commit that fsyncs, acknowledges and
+// observes its records while Abort waits for the syncer must not be chopped
+// off by a truncation to the frontier Abort saw before the join. Every
+// record the observer saw was reported durable, so the segment must still
+// hold at least that many records.
+func TestWALAbortKeepsObservedRecords(t *testing.T) {
+	for iter := 0; iter < 40; iter++ {
+		dir := t.TempDir()
+		w, err := createWAL(dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var observed atomic.Int64
+		w.SetObserver(func(walRec) { observed.Add(1) })
+		var wg sync.WaitGroup
+		for a := 0; a < 2; a++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := uint64(1); ; i++ {
+					if w.Append(walRec{Kind: recTerm, Term: i}) != nil {
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(200+50*(iter%8)) * time.Microsecond)
+		if _, err := w.Abort(0); err != nil {
+			t.Fatalf("iteration %d: abort: %v", iter, err)
+		}
+		wg.Wait()
+		got := len(scanSegment(t, filepath.Join(dir, segmentName(1))))
+		if want := observed.Load(); int64(got) < want {
+			t.Fatalf("iteration %d: segment holds %d records after abort, observer saw %d durable", iter, got, want)
+		}
 	}
 }
 

@@ -213,7 +213,7 @@ func (n *Node) handleToken(tok TokenPayload) (bool, game.Profile, error) {
 	n.lastProcessedSeq = tok.Seq
 	profile := game.Profile(tok.Profile)
 	cur := n.cfg.Payoff(n.index, profile)
-	next, val, ok := bestResponse(n.cfg, profile, n.index, n.opts.DTol, n.opts.Workers, n.opts.Incremental.Enabled())
+	next, val, ok := BestResponseWorkers(n.cfg, profile, n.index, n.opts.DTol, n.opts.Workers)
 	if ok && val > cur+n.opts.Tol {
 		profile[n.index] = next
 		tok.Unchanged = 0

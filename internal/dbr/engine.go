@@ -11,8 +11,9 @@ import (
 // Engine is the incremental best-response engine: a DeltaEvaluator plus
 // pooled scratch so a steady-state best-response scan performs zero heap
 // allocations (asserted by TestBestResponseZeroAlloc). Results are
-// byte-identical to the naive BestResponseNaive path — the evaluator's
-// exactness contract plus the identical golden-section driver guarantee it.
+// byte-identical to a naive scan that evaluates every payoff with
+// Config.Payoff — the evaluator's exactness contract plus the identical
+// golden-section driver guarantee it (the dbr tests hold that oracle).
 //
 // An Engine is single-goroutine for mutation; the parallel candidate scan
 // only reads the bound evaluator, which is race-free.
@@ -94,7 +95,7 @@ func (e *Engine) Update(i int, s game.Strategy) { e.ev.Update(i, s) }
 func (e *Engine) Payoff(i int) float64 { return e.ev.Payoff(i) }
 
 // BestResponse computes organization i's best response against the bound
-// profile, byte-identical to BestResponseNaive on the same profile. The
+// profile, byte-identical to the naive Config.Payoff scan on the same profile. The
 // serial path (workers ≤ 1) is allocation-free.
 func (e *Engine) BestResponse(i int, dTol float64, workers int) (game.Strategy, float64, bool) {
 	if dTol <= 0 {

@@ -40,9 +40,9 @@ func TestEngineBestResponseMatchesNaive(t *testing.T) {
 		p := cfg.MinimalProfile()
 		eng := NewEngine(cfg)
 		eng.Bind(p)
-		for _, workers := range []int{1, 2, 4} {
-			for i := 0; i < cfg.N(); i++ {
-				ns, nv, nok := BestResponseNaive(cfg, p, i, 1e-7, workers)
+		for i := 0; i < cfg.N(); i++ {
+			ns, nv, nok := bestResponseNaive(cfg, p, i, 1e-7)
+			for _, workers := range []int{1, 2, 4} {
 				es, ev, eok := eng.BestResponse(i, 1e-7, workers)
 				if nok != eok || ns != es || math.Float64bits(nv) != math.Float64bits(ev) {
 					t.Fatalf("org %d workers %d: engine (%+v, %x, %v) != naive (%+v, %x, %v)",
@@ -53,59 +53,67 @@ func TestEngineBestResponseMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSolveIncrementalEquivalence is the end-to-end A/B: Solve with the
-// engine on and off must return bitwise-identical profiles, payoff traces
-// and potential traces — the -incremental flag changes speed, not results.
-func TestSolveIncrementalEquivalence(t *testing.T) {
+// TestBestResponseWorkersHonorsProcessDefault checks the pooled entry
+// point. There is no process-wide engine default any more: the pool always
+// runs the incremental engine, so its answer must equal the naive oracle's
+// bit-for-bit at every worker count.
+func TestBestResponseWorkersHonorsProcessDefault(t *testing.T) {
 	for _, cfg := range engineGames(t) {
-		on, err := Solve(cfg, nil, Options{Incremental: game.ToggleOn})
-		if err != nil {
-			t.Fatalf("Solve(on): %v", err)
-		}
-		off, err := Solve(cfg, nil, Options{Incremental: game.ToggleOff})
-		if err != nil {
-			t.Fatalf("Solve(off): %v", err)
-		}
-		if on.Rounds != off.Rounds || on.Converged != off.Converged {
-			t.Fatalf("control flow diverged: on=(%d,%v) off=(%d,%v)", on.Rounds, on.Converged, off.Rounds, off.Converged)
-		}
-		for i := range on.Profile {
-			if on.Profile[i] != off.Profile[i] {
-				t.Fatalf("profile[%d] diverged: on=%+v off=%+v", i, on.Profile[i], off.Profile[i])
-			}
-		}
-		if len(on.PotentialTrace) != len(off.PotentialTrace) {
-			t.Fatalf("potential trace length diverged: %d vs %d", len(on.PotentialTrace), len(off.PotentialTrace))
-		}
-		for tIdx := range on.PotentialTrace {
-			if math.Float64bits(on.PotentialTrace[tIdx]) != math.Float64bits(off.PotentialTrace[tIdx]) {
-				t.Fatalf("potential trace[%d] diverged: %x vs %x", tIdx,
-					math.Float64bits(on.PotentialTrace[tIdx]), math.Float64bits(off.PotentialTrace[tIdx]))
-			}
-			for i := range on.PayoffTrace[tIdx] {
-				if math.Float64bits(on.PayoffTrace[tIdx][i]) != math.Float64bits(off.PayoffTrace[tIdx][i]) {
-					t.Fatalf("payoff trace[%d][%d] diverged", tIdx, i)
+		p := cfg.MinimalProfile()
+		for i := 0; i < cfg.N(); i++ {
+			ns, nv, nok := bestResponseNaive(cfg, p, i, 1e-7)
+			for _, workers := range []int{1, 2, 4} {
+				ps, pv, pok := BestResponseWorkers(cfg, p, i, 1e-7, workers)
+				if nok != pok || ns != ps || math.Float64bits(nv) != math.Float64bits(pv) {
+					t.Fatalf("org %d workers %d: pooled (%+v, %x, %v) != naive (%+v, %x, %v)",
+						i, workers, ps, math.Float64bits(pv), pok, ns, math.Float64bits(nv), nok)
 				}
 			}
 		}
 	}
 }
 
-// TestBestResponseWorkersHonorsProcessDefault checks the pooled entry point
-// follows game.SetIncrementalDefault and stays byte-identical across modes.
-func TestBestResponseWorkersHonorsProcessDefault(t *testing.T) {
-	defer game.SetIncrementalDefault(true)
-	cfg := defaultGame(t, 3)
-	p := cfg.MinimalProfile()
-	for i := 0; i < cfg.N(); i++ {
-		game.SetIncrementalDefault(true)
-		sOn, vOn, okOn := BestResponseWorkers(cfg, p, i, 1e-7, 1)
-		game.SetIncrementalDefault(false)
-		sOff, vOff, okOff := BestResponseWorkers(cfg, p, i, 1e-7, 1)
-		if sOn != sOff || math.Float64bits(vOn) != math.Float64bits(vOff) || okOn != okOff {
-			t.Fatalf("org %d: default-on (%+v, %x) != default-off (%+v, %x)",
-				i, sOn, math.Float64bits(vOn), sOff, math.Float64bits(vOff))
+// requireSameSolve asserts two Algorithm 2 runs agree bitwise: control
+// flow, profile, potential trace and payoff trace.
+func requireSameSolve(t *testing.T, got, want *Result) {
+	t.Helper()
+	if got.Rounds != want.Rounds || got.Converged != want.Converged {
+		t.Fatalf("control flow diverged: got=(%d,%v) want=(%d,%v)", got.Rounds, got.Converged, want.Rounds, want.Converged)
+	}
+	if len(got.Profile) != len(want.Profile) {
+		t.Fatalf("profile lengths differ: %d vs %d", len(got.Profile), len(want.Profile))
+	}
+	for i := range got.Profile {
+		if got.Profile[i] != want.Profile[i] {
+			t.Fatalf("profile[%d] diverged: got=%+v want=%+v", i, got.Profile[i], want.Profile[i])
 		}
+	}
+	if len(got.PotentialTrace) != len(want.PotentialTrace) {
+		t.Fatalf("potential trace length diverged: %d vs %d", len(got.PotentialTrace), len(want.PotentialTrace))
+	}
+	for r := range got.PotentialTrace {
+		if math.Float64bits(got.PotentialTrace[r]) != math.Float64bits(want.PotentialTrace[r]) {
+			t.Fatalf("potential trace[%d] diverged: %x vs %x", r,
+				math.Float64bits(got.PotentialTrace[r]), math.Float64bits(want.PotentialTrace[r]))
+		}
+		for i := range got.PayoffTrace[r] {
+			if math.Float64bits(got.PayoffTrace[r][i]) != math.Float64bits(want.PayoffTrace[r][i]) {
+				t.Fatalf("payoff trace[%d][%d] diverged", r, i)
+			}
+		}
+	}
+}
+
+// TestSolveIncrementalEquivalence is the end-to-end check of the engine:
+// Solve must return the profile, payoff traces and potential traces of the
+// naive Algorithm 2 sweep bit for bit.
+func TestSolveIncrementalEquivalence(t *testing.T) {
+	for _, cfg := range engineGames(t) {
+		got, err := Solve(cfg, nil, Options{})
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		requireSameSolve(t, got, solveNaive(t, cfg, Options{}))
 	}
 }
 
@@ -135,34 +143,24 @@ func TestBestResponseZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkBestResponseAllocs pits the engine's serial scan against the
-// naive reference at the default instance size; with -benchmem the on case
-// documents the zero-alloc steady state the tentpole requires.
+// BenchmarkBestResponseAllocs measures the engine's serial scan at the
+// default instance size; with -benchmem it documents the zero-alloc steady
+// state.
 func BenchmarkBestResponseAllocs(b *testing.B) {
 	cfg, err := game.DefaultConfig(game.GenOptions{Seed: 7, NoOrgName: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := cfg.MinimalProfile()
-	b.Run("incremental=on", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := NewEngine(cfg)
-		eng.Bind(p)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, ok := eng.BestResponse(i%cfg.N(), 1e-7, 1); !ok {
-				b.Fatal("no feasible response")
-			}
+	b.ReportAllocs()
+	eng := NewEngine(cfg)
+	eng.Bind(p)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := eng.BestResponse(i%cfg.N(), 1e-7, 1); !ok {
+			b.Fatal("no feasible response")
 		}
-	})
-	b.Run("incremental=off", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, ok := BestResponseNaive(cfg, p, i%cfg.N(), 1e-7, 1); !ok {
-				b.Fatal("no feasible response")
-			}
-		}
-	})
+	}
 }
 
 // TestEngineResetReusesForSameConfig verifies the pool fast path: releasing

@@ -17,8 +17,8 @@ func TestEngineSurvivesInPlaceMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First incremental solve binds a pooled engine to cfg.
-	if _, err := Solve(cfg, nil, Options{Incremental: game.ToggleOn}); err != nil {
+	// First solve binds a pooled engine to cfg.
+	if _, err := Solve(cfg, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Mutate the config in place exactly like campaign.drift.
@@ -29,21 +29,9 @@ func TestEngineSurvivesInPlaceMutation(t *testing.T) {
 	}
 	cfg.NormalizeRho(game.DefaultZMargin)
 
-	inc, err := Solve(cfg, nil, Options{Incremental: game.ToggleOn})
+	got, err := Solve(cfg, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Solve(cfg, nil, Options{Incremental: game.ToggleOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inc.Profile) != len(naive.Profile) {
-		t.Fatalf("profile lengths differ: %d vs %d", len(inc.Profile), len(naive.Profile))
-	}
-	for i := range inc.Profile {
-		if inc.Profile[i] != naive.Profile[i] {
-			t.Fatalf("org %d: incremental %+v != naive %+v after in-place mutation",
-				i, inc.Profile[i], naive.Profile[i])
-		}
-	}
+	requireSameSolve(t, got, solveNaive(t, cfg, Options{}))
 }

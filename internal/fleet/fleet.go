@@ -252,7 +252,6 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 		return *memo
 	}
 	mWarmMisses.Inc()
-	st.WarmScratch = w != nil && w.Fits(cfg)
 	dec := e.planner.Decide(st, spare)
 	planCounter(dec.Plan).Inc()
 
@@ -261,9 +260,6 @@ func (e *Engine) solveOne(ctx context.Context, cfg *game.Config, spare int) Resu
 	case PlanDBR:
 		dopts := e.opts.DBR
 		dopts.Workers = dec.Workers
-		if dopts.Incremental == game.ToggleDefault {
-			dopts.Incremental = dec.Incremental
-		}
 		dres, err := dbr.SolveCtx(ctx, cfg, nil, dopts)
 		if err != nil {
 			r.Err = err
@@ -296,9 +292,6 @@ func (e *Engine) gbdOpts(dec Decision) gbd.Options {
 	} else {
 		gopts.Master = gbd.MasterPruned
 	}
-	if gopts.Incremental == game.ToggleDefault {
-		gopts.Incremental = dec.Incremental
-	}
 	return gopts
 }
 
@@ -326,7 +319,7 @@ func (e *Engine) checkout(cfg *game.Config, sig uint64, plan Plan) (*warmEntry, 
 		mWarmHits.Inc()
 		res := &Result{
 			Plan:      plan,
-			Decision:  Decision{Plan: plan, Workers: 1, Incremental: game.ToggleDefault},
+			Decision:  Decision{Plan: plan, Workers: 1},
 			Warm:      true,
 			Profile:   ent.profile,
 			Potential: ent.potential,

@@ -83,11 +83,6 @@ type Stats struct {
 	Grid float64
 	// Epsilon is the CGBD convergence tolerance the solve would use.
 	Epsilon float64
-	// WarmScratch reports whether shape-matched warm solver state is
-	// available. It may only influence byte-identical knobs (workers,
-	// incremental engine) — never the plan — so cache state cannot make a
-	// batch diverge from a one-at-a-time sequence.
-	WarmScratch bool
 }
 
 // StatsOf derives the planner features of one instance. epsilon is the
@@ -248,16 +243,14 @@ func LoadProfile(path string) (*CostProfile, error) {
 }
 
 // Decision is the planner's verdict for one instance. Plan selects the
-// solver; Workers and Incremental tune byte-identical knobs (within-
-// instance sharding, evaluation engine) — output bytes never depend on
-// them, which is what makes warm-state- and load-aware choices safe.
+// solver; Workers tunes a byte-identical knob (within-instance sharding) —
+// output bytes never depend on it, which is what makes load-aware choices
+// safe.
 type Decision struct {
 	Plan Plan
 	// Workers is the within-instance worker count for the master-problem
 	// shards / best-response candidate scans (1 = exact serial path).
 	Workers int
-	// Incremental selects the evaluation engine for the solve.
-	Incremental game.Toggle
 	// PredictedNs is the modeled cost of the chosen plan.
 	PredictedNs float64
 }
@@ -282,14 +275,14 @@ func (pl *Planner) profile() *CostProfile {
 // predicted cost.
 var planOrder = [...]Plan{PlanPruned, PlanTraversal, PlanDBR}
 
-// Decide resolves the plan, worker count and evaluation engine for one
-// instance. spare is the number of idle pool workers the instance may
-// additionally occupy for within-instance sharding (0 on a saturated pool,
-// which is the norm mid-batch); it influences Workers only, never the
-// plan, so decisions stay deterministic per instance.
+// Decide resolves the plan and worker count for one instance. spare is
+// the number of idle pool workers the instance may additionally occupy for
+// within-instance sharding (0 on a saturated pool, which is the norm
+// mid-batch); it influences Workers only, never the plan, so decisions
+// stay deterministic per instance.
 func (pl *Planner) Decide(st Stats, spare int) Decision {
 	prof := pl.profile()
-	dec := Decision{Plan: pl.Forced, Workers: 1, Incremental: game.ToggleDefault}
+	dec := Decision{Plan: pl.Forced, Workers: 1}
 	if dec.Plan == PlanAuto {
 		best := math.Inf(1)
 		for _, p := range planOrder {
@@ -308,12 +301,6 @@ func (pl *Planner) Decide(st Stats, spare int) Decision {
 		if dec.Workers > st.MaxLevels {
 			dec.Workers = st.MaxLevels
 		}
-	}
-	// Warm scratch exists only for the incremental engine's caches, so a
-	// warm instance pins the engine on rather than following the process
-	// default. Byte-identical either way.
-	if st.WarmScratch {
-		dec.Incremental = game.ToggleOn
 	}
 	return dec
 }

@@ -193,21 +193,44 @@ func TestDeltaEvaluatorZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCheckNashIncrementalEquivalence asserts the CheckNash report is
-// bit-identical whether the deviations are evaluated through the
-// DeltaEvaluator or the naive path.
+// checkNashNaive is the reference CheckNash: the same deviation grid with
+// every payoff evaluated from scratch by Config.Payoff.
+func checkNashNaive(c *Config, p Profile, gridRes int, tol float64) NashReport {
+	report := NashReport{Deviator: -1, Tolerance: tol}
+	work := p.Clone()
+	for i := range c.Orgs {
+		base := c.Payoff(i, p)
+		for _, f := range c.Orgs[i].CPULevels {
+			lo, hi, ok := c.FeasibleD(i, f)
+			if !ok {
+				continue
+			}
+			for k := 0; k < gridRes; k++ {
+				work[i] = Strategy{D: lo + (hi-lo)*float64(k)/float64(gridRes-1), F: f}
+				if regret := c.Payoff(i, work) - base; regret > report.MaxRegret {
+					report.MaxRegret = regret
+					report.Deviator = i
+				}
+			}
+		}
+		work[i] = p[i]
+	}
+	report.IsNash = report.MaxRegret <= tol
+	return report
+}
+
+// TestCheckNashIncrementalEquivalence asserts the CheckNash report, whose
+// deviations run through the DeltaEvaluator, is bit-identical to the naive
+// reference.
 func TestCheckNashIncrementalEquivalence(t *testing.T) {
-	defer SetIncrementalDefault(true)
 	for _, cfg := range deltaTestConfigs(t) {
 		src := randx.New(8)
 		p := randomProfile(cfg, src)
-		SetIncrementalDefault(true)
-		on := cfg.CheckNash(p, 25, 1e-2)
-		SetIncrementalDefault(false)
-		off := cfg.CheckNash(p, 25, 1e-2)
-		if on.IsNash != off.IsNash || on.Deviator != off.Deviator ||
-			math.Float64bits(on.MaxRegret) != math.Float64bits(off.MaxRegret) {
-			t.Fatalf("CheckNash diverged: incremental %+v vs naive %+v", on, off)
+		got := cfg.CheckNash(p, 25, 1e-2)
+		want := checkNashNaive(cfg, p, 25, 1e-2)
+		if got.IsNash != want.IsNash || got.Deviator != want.Deviator ||
+			math.Float64bits(got.MaxRegret) != math.Float64bits(want.MaxRegret) {
+			t.Fatalf("CheckNash diverged: incremental %+v vs naive %+v", got, want)
 		}
 	}
 }

@@ -131,10 +131,14 @@ func (c *Config) Validate() error {
 	if len(c.Rho) != n {
 		return fmt.Errorf("game config: rho has %d rows, want %d", len(c.Rho), n)
 	}
+	// Every row's length is checked before any entry: the symmetry check
+	// reads rho[j][i] across rows.
 	for i, row := range c.Rho {
 		if len(row) != n {
 			return fmt.Errorf("game config: rho row %d has %d cols, want %d", i, len(row), n)
 		}
+	}
+	for i, row := range c.Rho {
 		if row[i] != 0 {
 			return fmt.Errorf("game config: rho[%d][%d] = %v, diagonal must be zero", i, i, row[i])
 		}

@@ -74,6 +74,7 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		{"bad deadline", func(c *Config) { c.Deadline = 0 }, "deadline"},
 		{"negative gamma", func(c *Config) { c.Gamma = -1 }, "gamma"},
 		{"rho rows", func(c *Config) { c.Rho = c.Rho[:3] }, "rho"},
+		{"rho ragged", func(c *Config) { c.Rho[len(c.Rho)-1] = nil }, "cols"},
 		{"rho diagonal", func(c *Config) { c.Rho[2][2] = 0.5 }, "diagonal"},
 		{"rho asymmetric", func(c *Config) { c.Rho[0][1] = c.Rho[1][0] + 0.1 }, "symmetric"},
 		{"rho out of range", func(c *Config) { c.Rho[0][1] = 2; c.Rho[1][0] = 2 }, "outside"},

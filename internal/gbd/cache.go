@@ -2,13 +2,14 @@ package gbd
 
 import "math"
 
-// This file holds the incremental-evaluation state of the CGBD solver
-// (Options.Incremental, on by default): per-(organization, CPU-level)
-// constant caches, the persistent incrementally-grown master cut tables
-// with dominated-cut eviction, and the f-vector-keyed primal memo. Every
-// cached quantity is produced by the same floating-point expression the
-// naive path evaluates, so solver output is byte-identical either way —
-// the equivalence tests assert it field by field.
+// This file holds the incremental-evaluation state of the CGBD solver:
+// per-(organization, CPU-level) constant caches, the persistent
+// incrementally-grown master cut tables with dominated-cut eviction, and
+// the f-vector-keyed primal memo. Every cached quantity is produced by the
+// same floating-point expression a direct evaluation uses, so the masters
+// return exactly what a full grid scan over freshly tabulated cuts would —
+// the tests keep that reference (buildTables, optCutTermDirect, the
+// mixed-radix scan) and replay every solve's cuts against it.
 
 // primalResult memoizes one solved primal subproblem (19), keyed by the
 // f-grid index vector. The d/u slices are shared with the optimality cuts
@@ -29,13 +30,13 @@ const primalMemoCap = 512
 // the bound itself (≈ N·ulp of the term scale, orders of magnitude below
 // 1e-6 at the potential's O(1e3) scale), so eviction never removes a cut
 // that could tie the min at any grid point — which is what keeps the
-// master's φ values bit-identical to the keep-everything naive path.
+// master's φ values bit-identical to keeping every cut.
 const dominationMargin = 1e-6
 
-// initIncremental precomputes the per-(org, level) constants every primal
+// initCaches precomputes the per-(org, level) constants every primal
 // solve and cut tabulation reuses, and seeds the persistent structures.
-// Each cached value is computed once by exactly the expression the naive
-// path evaluates per call (linearCostPerOmega, fOnlyTerm, FeasibleD,
+// Each cached value is computed once by exactly the expression a direct
+// evaluation uses per call (linearCostPerOmega, fOnlyTerm, FeasibleD,
 // MaxDataFraction), so cached and fresh bits agree.
 //
 // It is reuse-friendly: when the solver already holds shape-matched
@@ -43,7 +44,7 @@ const dominationMargin = 1e-6
 // and only the values are recomputed — the numeric state is re-derived from
 // the config in full, so a rebound solver's output stays byte-identical to
 // a fresh one's.
-func (s *solver) initIncremental() {
+func (s *solver) initCaches() {
 	cfg := s.cfg
 	n := cfg.N()
 	if len(s.levels) != n {
@@ -101,11 +102,19 @@ func (s *solver) initIncremental() {
 	s.lb = math.Inf(-1)
 }
 
-// optCutTermCached is optCutTerm with the two self-contained f_i-only
-// subexpressions (linearCostPerOmega, fOnlyTerm) read from the level
-// caches; the remaining arithmetic is verbatim, so the result is
-// bit-identical to the naive evaluation.
-func (s *solver) optCutTermCached(c optimalityCut, i, k int) float64 {
+// optCutTerm is the f_i-dependent contribution of organization i at CPU
+// level k to a linearized optimality cut:
+//
+//	max_{d∈[DMin,1]} [(P'(Ω̂) − w_i(f_i))·scale_i − u_i·slope_i(f_i)]·d
+//	  + γ·ρ̄_i·λ·f_i/z_i − u_i·(T1 + T3 − τ) ,
+//
+// where slope_i(f) = η_i·s_i/f is dG_i/dd_i and the Lagrangian of the
+// maximization primal is L = U − u·G (weak duality: −u·G ≥ 0 on the
+// feasible set). The inner maximum of the linear term sits at one of the
+// box endpoints. The two self-contained f_i-only subexpressions
+// (linearCostPerOmega, fOnlyTerm) are read from the level caches; the
+// remaining arithmetic is the direct expression verbatim.
+func (s *solver) optCutTerm(c optimalityCut, i, k int) float64 {
 	fi := s.levels[i][k]
 	o := s.cfg.Orgs[i]
 	coef := (c.pSlope-s.lvlCost[i][k])*s.scale[i] -
@@ -137,15 +146,10 @@ func cutDominates(aTerms [][]float64, aConst float64, bTerms [][]float64, bConst
 	return bound <= -dominationMargin
 }
 
-// addOptCut stores a freshly generated optimality cut. The naive path
-// appends and lets buildTables re-tabulate everything each master call;
-// the incremental path tabulates just this cut into the persistent tables
-// and evicts strictly dominated cuts (either direction).
+// addOptCut tabulates a freshly generated optimality cut into the
+// persistent master tables and evicts strictly dominated cuts (either
+// direction).
 func (s *solver) addOptCut(c optimalityCut) {
-	if !s.inc {
-		s.optCuts = append(s.optCuts, c)
-		return
-	}
 	n := s.cfg.N()
 	terms := make([][]float64, n)
 	maxs := make([]float64, n)
@@ -153,7 +157,7 @@ func (s *solver) addOptCut(c optimalityCut) {
 		row := make([]float64, len(s.levels[i]))
 		best := math.Inf(-1)
 		for k := range s.levels[i] {
-			row[k] = s.optCutTermCached(c, i, k)
+			row[k] = s.optCutTerm(c, i, k)
 			if row[k] > best {
 				best = row[k]
 			}
@@ -179,23 +183,17 @@ func (s *solver) addOptCut(c optimalityCut) {
 			continue
 		}
 		t.opt[w], t.optMax[w], t.optConst[w] = t.opt[v], t.optMax[v], t.optConst[v]
-		s.optCuts[w] = s.optCuts[v]
 		w++
 	}
 	t.opt = append(t.opt[:w], terms)
 	t.optMax = append(t.optMax[:w], maxs)
 	t.optConst = append(t.optConst[:w], konst)
-	s.optCuts = append(s.optCuts[:w], c)
 	mCutTabIncr.Inc()
 }
 
-// addFeasCut stores a feasibility cut, tabulating it incrementally when
-// the incremental engine is on.
+// addFeasCut tabulates a feasibility cut into the persistent master
+// tables.
 func (s *solver) addFeasCut(c feasibilityCut) {
-	s.feasCuts = append(s.feasCuts, c)
-	if !s.inc {
-		return
-	}
 	n := s.cfg.N()
 	terms := make([][]float64, n)
 	mins := make([]float64, n)
@@ -217,27 +215,16 @@ func (s *solver) addFeasCut(c feasibilityCut) {
 	mCutTabIncr.Inc()
 }
 
-// ensureTables returns the master cut tables: the persistent incremental
-// tables (already current — cuts tabulate at add time) or a full rebuild
-// on the naive path.
-func (s *solver) ensureTables() *cutTables {
-	if s.inc {
-		return s.tables
-	}
-	mCutTabFull.Inc()
-	return s.buildTables()
-}
-
 // masterSeed returns the incumbent-derived φ seed of the master search: a
 // hair below the lower bound, so grid points that cannot beat the
 // incumbent are pruned immediately. Exactness: a suppressed point has
-// φ < LB, so the naive master would return ub = φ < lb and Algorithm 1
+// φ < LB, so an unseeded master would return ub = φ < lb and Algorithm 1
 // would declare convergence on the incumbent — exactly what the seeded
 // master's "nothing found" path does; Profile, Potential, iteration count
 // and the LowerBounds trace are identical, only the final UpperBounds
 // entry may read lb instead of the (converged-anyway) φ.
 func (s *solver) masterSeed() float64 {
-	if !s.inc || math.IsInf(s.lb, -1) {
+	if math.IsInf(s.lb, -1) {
 		return math.Inf(-1)
 	}
 	mMasterSeeded.Inc()
@@ -259,7 +246,7 @@ func (s *solver) masterSeed() float64 {
 // masterSeed's final-UB-entry caveat.
 func (s *solver) masterWarmSeed(t *cutTables) float64 {
 	seed := s.masterSeed()
-	if !s.inc || len(s.prevIdx) != s.cfg.N() || !s.gridFeasible(t, s.prevIdx) {
+	if len(s.prevIdx) != s.cfg.N() || !s.gridFeasible(t, s.prevIdx) {
 		return seed
 	}
 	y := s.gridPhi(t, s.prevIdx)
@@ -273,10 +260,12 @@ func (s *solver) masterWarmSeed(t *cutTables) float64 {
 	return seed
 }
 
-// solvePrimalMemo serves the primal from the f-vector memo, solving and
-// inserting on miss. Hits occur when the master revisits an f — typically
-// near convergence and on warm re-solves — and cost O(N) key bytes.
-func (s *solver) solvePrimalMemo(f []float64, fIdx []int) ([]float64, []float64, bool) {
+// solvePrimal maximizes U(·, f) over the box of feasible d, served from
+// the f-vector memo and solved (solvePrimalFresh) and inserted on miss.
+// Hits occur when the master revisits an f — typically near convergence
+// and on warm re-solves — and cost O(N) key bytes. fIdx gives f's grid
+// indices. Memoized slices are shared — callers must not mutate the result.
+func (s *solver) solvePrimal(f []float64, fIdx []int) ([]float64, []float64, bool) {
 	s.keyBuf = s.keyBuf[:0]
 	for _, k := range fIdx {
 		s.keyBuf = append(s.keyBuf, byte(k), byte(k>>8))

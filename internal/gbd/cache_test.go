@@ -1,15 +1,18 @@
 package gbd
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"tradefl/internal/game"
 )
 
-// gbdGames yields CGBD instances across sizes, grid densities and
-// competition intensities for the incremental-engine equivalence suite
-// (CGBD rejects the personalization extension, so only the base model).
+// gbdGames yields CGBD instances across sizes, grid densities, competition
+// intensities and a deadline tight enough to make slow CPU levels
+// infeasible (CGBD rejects the personalization extension, so only the base
+// model).
 func gbdGames(t *testing.T) []*game.Config {
 	t.Helper()
 	var cfgs []*game.Config
@@ -17,6 +20,7 @@ func gbdGames(t *testing.T) []*game.Config {
 		{Seed: 7},
 		{Seed: 3, N: 4, CPUSteps: 5},
 		{Seed: 11, N: 6, Mu: 0.9},
+		{Seed: 2, N: 5, CPUSteps: 4},
 	} {
 		cfg, err := game.DefaultConfig(gen)
 		if err != nil {
@@ -24,94 +28,157 @@ func gbdGames(t *testing.T) []*game.Config {
 		}
 		cfgs = append(cfgs, cfg)
 	}
+	tight := cfgs[len(cfgs)-1]
+	tight.DMin = 0.6
+	tight.Deadline = 0.5 + 0.6*25e9/4.2e9
 	return cfgs
 }
 
-// assertEquivalent checks the on/off results agree on everything the
-// exactness contract covers. The incumbent-seeded master may suppress the
-// final iteration's maximum when no grid point beats the incumbent, so the
-// LAST UpperBounds entry is allowed to differ (both runs have already
-// converged on the same incumbent at that point); every other trace entry
-// and the solution itself must be bitwise identical.
-func assertEquivalent(t *testing.T, on, off *Result, label string) {
-	t.Helper()
-	if on.Iterations != off.Iterations || on.Converged != off.Converged {
-		t.Fatalf("%s: control flow diverged: on=(%d,%v) off=(%d,%v)",
-			label, on.Iterations, on.Converged, off.Iterations, off.Converged)
-	}
-	for i := range on.Profile {
-		if on.Profile[i] != off.Profile[i] {
-			t.Fatalf("%s: profile[%d] diverged: on=%+v off=%+v", label, i, on.Profile[i], off.Profile[i])
-		}
-	}
-	if math.Float64bits(on.Potential) != math.Float64bits(off.Potential) {
-		t.Fatalf("%s: potential diverged: %x vs %x", label,
-			math.Float64bits(on.Potential), math.Float64bits(off.Potential))
-	}
-	if len(on.LowerBounds) != len(off.LowerBounds) || len(on.UpperBounds) != len(off.UpperBounds) {
-		t.Fatalf("%s: trace lengths diverged", label)
-	}
-	for k := range on.LowerBounds {
-		if math.Float64bits(on.LowerBounds[k]) != math.Float64bits(off.LowerBounds[k]) {
-			t.Fatalf("%s: LowerBounds[%d] diverged: %x vs %x", label, k,
-				math.Float64bits(on.LowerBounds[k]), math.Float64bits(off.LowerBounds[k]))
-		}
-	}
-	for k := range on.UpperBounds {
-		if k == len(on.UpperBounds)-1 {
-			continue
-		}
-		if math.Float64bits(on.UpperBounds[k]) != math.Float64bits(off.UpperBounds[k]) {
-			t.Fatalf("%s: UpperBounds[%d] diverged: %x vs %x", label, k,
-				math.Float64bits(on.UpperBounds[k]), math.Float64bits(off.UpperBounds[k]))
-		}
-	}
-	for k := range on.PotentialTrace {
-		if math.Float64bits(on.PotentialTrace[k]) != math.Float64bits(off.PotentialTrace[k]) {
-			t.Fatalf("%s: PotentialTrace[%d] diverged", label, k)
-		}
-	}
-}
-
-// TestSolveIncrementalEquivalence is the CGBD A/B: with the engine on
-// (memoized primals, cached cut tables, seeded masters) and off, both
-// master solvers must deliver bitwise-identical solutions and traces.
+// TestSolveIncrementalEquivalence replays each solve's cut sequence into a
+// fresh solver and, after every cut, checks the production masters against
+// the reference scan over tables rebuilt from all cuts so far (see
+// reference_test.go). The replay solver's incumbent seed stays disabled
+// (lb = −∞, no previous argmax), so the pruned and traversal masters must
+// return the reference argmax and φ bit for bit at every worker count.
+// This pins the exactness of the cached cut terms, incremental
+// tabulation, dominated-cut eviction and the fused search kernels. The
+// live solver that generates the cuts runs seeded, and its masters are
+// held to the same reference, which pins the incumbent seeds too.
 func TestSolveIncrementalEquivalence(t *testing.T) {
-	for _, cfg := range gbdGames(t) {
-		for _, master := range []MasterSolver{MasterTraversal, MasterPruned} {
-			on, err := Solve(cfg, Options{Master: master, Incremental: game.ToggleOn})
-			if err != nil {
-				t.Fatalf("Solve(on, master=%v): %v", master, err)
+	var feasCuts, evicted int
+	for gi, cfg := range gbdGames(t) {
+		for _, master := range []MasterSolver{MasterPruned, MasterTraversal} {
+			opts := Options{Master: master}.withDefaults()
+			live := newSolver(cfg, opts)
+			replay := newSolver(cfg, opts)
+			var opt, natural []optimalityCut
+			var feas []feasibilityCut
+			n := cfg.N()
+			f := make([]float64, n)
+			fIdx := make([]int, n)
+			for i, o := range cfg.Orgs {
+				fIdx[i] = len(o.CPULevels) - 1
+				f[i] = o.CPULevels[fIdx[i]]
 			}
-			off, err := Solve(cfg, Options{Master: master, Incremental: game.ToggleOff})
-			if err != nil {
-				t.Fatalf("Solve(off, master=%v): %v", master, err)
+			lb, ub := math.Inf(-1), math.Inf(1)
+			for k := 0; k < opts.MaxIter; k++ {
+				d, u, feasible := live.solvePrimal(f, fIdx)
+				if feasible {
+					if v := cfg.Potential(toProfile(d, f)); v > lb {
+						lb = v
+					}
+					live.lb = lb
+					c := live.newOptCut(d, u)
+					live.addOptCut(c)
+					natural = append(natural, c)
+					for _, rc := range withShiftedCopy(c, k) {
+						replay.addOptCut(rc)
+						opt = append(opt, rc)
+					}
+				} else {
+					c := feasibilityCut{d: d, lambda: live.solveFeasibility(f)}
+					live.addFeasCut(c)
+					replay.addFeasCut(c)
+					feas = append(feas, c)
+				}
+				label := fmt.Sprintf("game %d master %d cut %d", gi, master, k)
+				checkReplay(t, replay, buildTables(replay, opt, feas), label)
+				// The live master runs seeded: when it finds a point it must
+				// be the reference argmax, and when it finds none no point
+				// may reach the incumbent.
+				fIdxNext, fNext, phi, ok := live.solveMaster()
+				wantIdx, wantPhi, wantOK := scanGrid(buildTables(live, natural, feas))
+				if ok && (!slices.Equal(fIdxNext, wantIdx) || math.Float64bits(phi) != math.Float64bits(wantPhi)) {
+					t.Fatalf("%s: seeded master = (%v, %x), reference scan (%v, %x)",
+						label, fIdxNext, math.Float64bits(phi), wantIdx, math.Float64bits(wantPhi))
+				}
+				if !ok && wantOK && wantPhi >= lb {
+					t.Fatalf("%s: seeded master found nothing, reference scan reaches φ %v ≥ incumbent %v", label, wantPhi, lb)
+				}
+				if !ok {
+					break
+				}
+				ub = math.Min(ub, phi)
+				if ub-lb <= opts.Epsilon {
+					break
+				}
+				f, fIdx = fNext, fIdxNext
 			}
-			label := "traversal"
-			if master == MasterPruned {
-				label = "pruned"
-			}
-			assertEquivalent(t, on, off, label)
+			feasCuts += len(feas)
+			evicted += len(opt) - len(replay.tables.opt)
 		}
+	}
+	// The suite must exercise both cut kinds and eviction, or the replay
+	// proves less than it claims.
+	if feasCuts == 0 || evicted == 0 {
+		t.Fatalf("replay covered %d feasibility cuts and %d evictions; want both > 0", feasCuts, evicted)
 	}
 }
 
-// TestSolveIncrementalEquivalenceParallel repeats the A/B with a parallel
-// master search: sharded seeded searches must still match the naive serial
-// reference bit-for-bit.
+// withShiftedCopy returns c followed, on two of every three iterations,
+// by a copy shifted down or up by 1e-3. Algorithm 1's cuts are each tight
+// at their own grid point and bound the primal value everywhere else, so
+// none can strictly dominate another and eviction never fires on them
+// alone; the copies drive both eviction directions — a lowered copy evicts
+// c, a raised copy is dominated by c and skipped.
+func withShiftedCopy(c optimalityCut, k int) []optimalityCut {
+	shifted := c
+	switch k % 3 {
+	case 1:
+		shifted.pHat -= 1e-3
+	case 2:
+		shifted.pHat += 1e-3
+	default:
+		return []optimalityCut{c}
+	}
+	return []optimalityCut{c, shifted}
+}
+
+// checkReplay runs both production masters on s, serial and sharded, with
+// the incumbent seed disabled, and requires the reference scan's argmax
+// and φ bits.
+func checkReplay(t *testing.T, s *solver, ref *cutTables, label string) {
+	t.Helper()
+	if !math.IsInf(s.lb, -1) {
+		t.Fatalf("%s: replay solver has lower bound %v; the seed must stay disabled", label, s.lb)
+	}
+	wantIdx, wantPhi, wantOK := scanGrid(ref)
+	for _, master := range []MasterSolver{MasterPruned, MasterTraversal} {
+		for _, workers := range []int{1, 4} {
+			s.opts.Master, s.workers, s.prevIdx = master, workers, nil
+			idx, f, phi, ok := s.solveMaster()
+			if ok != wantOK || !slices.Equal(idx, wantIdx) ||
+				(ok && math.Float64bits(phi) != math.Float64bits(wantPhi)) {
+				t.Fatalf("%s: master %d workers %d = (%v, %v, %x), reference scan (%v, %v, %x)",
+					label, master, workers, idx, ok, math.Float64bits(phi), wantIdx, wantOK, math.Float64bits(wantPhi))
+			}
+			for i, k := range idx {
+				if f[i] != ref.levels[i][k] {
+					t.Fatalf("%s: master %d workers %d: f[%d] = %v, want level %d = %v",
+						label, master, workers, i, f[i], k, ref.levels[i][k])
+				}
+			}
+		}
+	}
+	s.prevIdx = nil
+}
+
+// TestSolveIncrementalEquivalenceParallel runs whole solves with a
+// sharded master search: at 2 and 4 workers each master must return the
+// serial solve's Result exactly — solution, bounds and traces.
 func TestSolveIncrementalEquivalenceParallel(t *testing.T) {
 	cfg := defaultGame(t, 7)
 	for _, master := range []MasterSolver{MasterTraversal, MasterPruned} {
-		off, err := Solve(cfg, Options{Master: master, Incremental: game.ToggleOff, Workers: 1})
+		serial, err := Solve(cfg, Options{Master: master, Workers: 1})
 		if err != nil {
-			t.Fatalf("Solve(off): %v", err)
+			t.Fatalf("Solve(master=%v, workers=1): %v", master, err)
 		}
 		for _, workers := range []int{2, 4} {
-			on, err := Solve(cfg, Options{Master: master, Incremental: game.ToggleOn, Workers: workers})
+			sharded, err := Solve(cfg, Options{Master: master, Workers: workers})
 			if err != nil {
-				t.Fatalf("Solve(on, workers=%d): %v", workers, err)
+				t.Fatalf("Solve(master=%v, workers=%d): %v", master, workers, err)
 			}
-			assertEquivalent(t, on, off, "parallel")
+			requireSameResult(t, fmt.Sprintf("master %d workers %d", master, workers), sharded, serial)
 		}
 	}
 }
@@ -122,19 +189,19 @@ func TestSolveIncrementalEquivalenceParallel(t *testing.T) {
 func TestPrimalMemoHits(t *testing.T) {
 	cfg := defaultGame(t, 7)
 	before := mPrimalHits.Value() + mPrimalMisses.Value()
-	first, err := Solve(cfg, Options{Incremental: game.ToggleOn})
+	first, err := Solve(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := mPrimalHits.Value() + mPrimalMisses.Value()
 	if after == before {
-		t.Fatal("incremental solve recorded no primal cache traffic")
+		t.Fatal("solve recorded no primal cache traffic")
 	}
-	second, err := Solve(cfg, Options{Incremental: game.ToggleOn})
+	second, err := Solve(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEquivalent(t, first, second, "repeat")
+	requireSameResult(t, "repeat", second, first)
 }
 
 // TestCutDomination exercises the domination predicate directly: a cut that

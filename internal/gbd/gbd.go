@@ -60,13 +60,6 @@ type Options struct {
 	// process default (GOMAXPROCS); 1 runs the exact serial code path.
 	// Results are byte-identical for every worker count.
 	Workers int
-	// Incremental selects the evaluation engine (see cache.go): per-level
-	// constant caches, f-vector primal memoization, persistent incrementally-
-	// grown cut tables with dominated-cut eviction, and incumbent-seeded
-	// master searches (on) versus the naive recompute-everything reference
-	// path (off). The solution is byte-identical either way; the zero value
-	// follows the process default (-incremental flag), which is on.
-	Incremental game.Toggle
 }
 
 func (o Options) withDefaults() Options {
@@ -129,14 +122,10 @@ type solver struct {
 	opts Options
 	// workers is the resolved master-search worker count (≥ 1).
 	workers int
-	// inc selects the incremental evaluation engine (cache.go).
-	inc bool
 	// rhoBar[i] = ρ̄_i, zs[i] = z_i, scale[i] = Ω unit per d_i.
 	rhoBar, zs, scale []float64
-	optCuts           []optimalityCut
-	feasCuts          []feasibilityCut
 
-	// Incremental-engine state, populated by initIncremental (inc only).
+	// Incremental-evaluation state (cache.go), populated by initCaches.
 	// levels aliases the per-org CPU grids; lvl* cache per-(org, level)
 	// constants; tables are the persistent master cut tables; memo/memoKeys/
 	// keyBuf implement the f-vector primal memo; lb mirrors the incumbent
@@ -158,27 +147,23 @@ type solver struct {
 }
 
 // newSolver builds the per-run solver state: shared precomputation plus the
-// incremental caches when the incremental engine is enabled.
+// incremental-evaluation caches.
 func newSolver(cfg *game.Config, opts Options) *solver {
 	n := cfg.N()
 	s := &solver{
 		cfg:     cfg,
 		opts:    opts,
 		workers: parallel.Resolve(opts.Workers),
-		inc:     opts.Incremental.Enabled(),
 		rhoBar:  make([]float64, n),
 		zs:      make([]float64, n),
 		scale:   make([]float64, n),
-		lb:      math.Inf(-1),
 	}
 	for i := 0; i < n; i++ {
 		s.rhoBar[i] = cfg.RhoRowSum(i)
 		s.zs[i] = cfg.Weight(i)
 		s.scale[i] = cfg.OmegaScale(i)
 	}
-	if s.inc {
-		s.initIncremental()
-	}
+	s.initCaches()
 	return s
 }
 
@@ -260,17 +245,7 @@ func run(ctx context.Context, cfg *game.Config, opts Options, s *solver) (*Resul
 			// The trace reports the incumbent (best-so-far) potential, the
 			// quantity Fig. 4 plots for the centralized algorithm.
 			res.PotentialTrace = append(res.PotentialTrace, lb)
-			var omegaHat float64
-			for i, di := range d {
-				omegaHat += di * s.scale[i]
-			}
-			s.addOptCut(optimalityCut{
-				d:        d,
-				u:        u,
-				omegaHat: omegaHat,
-				pHat:     cfg.Accuracy.Value(omegaHat),
-				pSlope:   cfg.Accuracy.Derivative(omegaHat),
-			})
+			s.addOptCut(s.newOptCut(d, u))
 			mOptCuts.Inc()
 		} else {
 			feasStart := time.Now()
@@ -413,61 +388,28 @@ func (s *solver) fOnlyTerm(i int, fi float64) float64 {
 	return s.cfg.Gamma * s.rhoBar[i] * s.cfg.Lambda * fi / s.zs[i]
 }
 
-// solvePrimal maximizes U(·, f) over the box of feasible d. It returns the
+// solvePrimalFresh solves the primal (19) for the grid point fIdx from the
+// per-level constant caches into reused water-fill scratch. It returns the
 // maximizer, the deadline-constraint Lagrange multipliers u (zero where the
 // deadline does not bind), and whether the primal was feasible. On an
 // infeasible primal it returns d = DMin everywhere (the feasibility-check
-// minimizer) and u = nil. fIdx gives f's grid indices; with the incremental
-// engine on it routes through the f-vector memo (pass nil to force a fresh
-// solve). Memoized slices are shared — callers must not mutate the result.
-func (s *solver) solvePrimal(f []float64, fIdx []int) (d, u []float64, feasible bool) {
-	if s.inc && fIdx != nil {
-		return s.solvePrimalMemo(f, fIdx)
-	}
-	return s.solvePrimalFresh(f, fIdx)
-}
-
-// solvePrimalFresh solves the primal from scratch. It reads the per-level
-// constant caches and reuses water-fill scratch when the incremental engine
-// is on (fIdx non-nil); every cached value is bit-identical to the fresh
-// expression, so both modes return identical bytes.
+// minimizer) and u = nil.
 func (s *solver) solvePrimalFresh(f []float64, fIdx []int) (d, u []float64, feasible bool) {
 	cfg := s.cfg
 	n := cfg.N()
-	cached := s.inc && fIdx != nil
 	d = make([]float64, n)
-	var lo, hi, w []float64
-	if cached {
-		lo, hi, w = s.wfLo, s.wfHi, s.wfW
-	} else {
-		lo = make([]float64, n)
-		hi = make([]float64, n)
-		w = make([]float64, n)
-	}
+	lo, hi, w := s.wfLo, s.wfHi, s.wfW
 	for i := 0; i < n; i++ {
-		if cached {
-			k := fIdx[i]
-			if !s.lvlOK[i][k] {
-				for j := range d {
-					d[j] = cfg.DMin
-				}
-				return d, nil, false
-			}
-			lo[i] = s.lvlLoY[i][k]
-			hi[i] = s.lvlHiY[i][k]
-			w[i] = s.lvlCost[i][k]
-			continue
-		}
-		dlo, dhi, ok := cfg.FeasibleD(i, f[i])
-		if !ok {
+		k := fIdx[i]
+		if !s.lvlOK[i][k] {
 			for j := range d {
 				d[j] = cfg.DMin
 			}
 			return d, nil, false
 		}
-		lo[i] = dlo * s.scale[i]
-		hi[i] = dhi * s.scale[i]
-		w[i] = s.linearCostPerOmega(i, f[i])
+		lo[i] = s.lvlLoY[i][k]
+		hi[i] = s.lvlHiY[i][k]
+		w[i] = s.lvlCost[i][k]
 	}
 	prob := &optimize.WaterFillProblem{
 		Phi:      cfg.Accuracy.Value,
@@ -476,13 +418,7 @@ func (s *solver) solvePrimalFresh(f []float64, fIdx []int) (d, u []float64, feas
 		Lo:       lo,
 		Hi:       hi,
 	}
-	var y []float64
-	var err error
-	if cached {
-		y, _, err = prob.SolveInto(s.wfY, s.wfOrder)
-	} else {
-		y, _, err = prob.Solve()
-	}
+	y, _, err := prob.SolveInto(s.wfY, s.wfOrder)
 	if err != nil {
 		// Bounds were validated above; treat a solver error as infeasible.
 		for j := range d {
@@ -502,12 +438,7 @@ func (s *solver) solvePrimalFresh(f []float64, fIdx []int) (d, u []float64, feas
 		// gradient. dU/dd_i = [P'(Ω)·scale_i − w_i·scale_i];
 		// dG_i/dd_i = η_i·s_i/f_i.
 		o := cfg.Orgs[i]
-		var capD float64
-		if cached {
-			capD = s.lvlCapD[i][fIdx[i]]
-		} else {
-			capD = o.Comm.MaxDataFraction(o.DataBits, f[i], cfg.Deadline)
-		}
+		capD := s.lvlCapD[i][fIdx[i]]
 		atCap := capD < 1 && math.Abs(d[i]-capD) <= 1e-9*math.Max(1, capD)
 		if !atCap {
 			continue
@@ -554,26 +485,20 @@ func (s *solver) deadlineG(i int, d, fi float64) float64 {
 	return -o.Comm.DeadlineSlack(d, o.DataBits, fi, s.cfg.Deadline)
 }
 
-// optCutTerm is the f_i-dependent contribution of organization i to a
-// linearized optimality cut:
-//
-//	max_{d∈[DMin,1]} [(P'(Ω̂) − w_i(f_i))·scale_i − u_i·slope_i(f_i)]·d
-//	  + γ·ρ̄_i·λ·f_i/z_i − u_i·(T1 + T3 − τ) ,
-//
-// where slope_i(f) = η_i·s_i/f is dG_i/dd_i and the Lagrangian of the
-// maximization primal is L = U − u·G (weak duality: −u·G ≥ 0 on the
-// feasible set). The inner maximum of the linear term sits at one of the
-// box endpoints.
-func (s *solver) optCutTerm(c optimalityCut, i int, fi float64) float64 {
-	o := s.cfg.Orgs[i]
-	coef := (c.pSlope-s.linearCostPerOmega(i, fi))*s.scale[i] -
-		c.u[i]*o.Comm.CyclesPerBit*o.DataBits/fi
-	inner := coef * s.cfg.DMin
-	if v := coef * 1; v > inner {
-		inner = v
+// newOptCut builds the linearized optimality cut of a feasible primal
+// solution (d, u).
+func (s *solver) newOptCut(d, u []float64) optimalityCut {
+	var omegaHat float64
+	for i, di := range d {
+		omegaHat += di * s.scale[i]
 	}
-	base := o.Comm.DownloadTime + o.Comm.UploadTime - s.cfg.Deadline
-	return inner + s.fOnlyTerm(i, fi) - c.u[i]*base
+	return optimalityCut{
+		d:        d,
+		u:        u,
+		omegaHat: omegaHat,
+		pHat:     s.cfg.Accuracy.Value(omegaHat),
+		pSlope:   s.cfg.Accuracy.Derivative(omegaHat),
+	}
 }
 
 // optCutConst is the f-independent part of a linearized optimality cut:
@@ -594,9 +519,9 @@ func (s *solver) feasCutTerm(c feasibilityCut, i int, fi float64) float64 {
 // φ ≤ L*(d_v, f, u_v) for all optimality cuts and L_*(d_w, f, λ_w) ≤ 0 for
 // all feasibility cuts. It returns the maximizer's grid indices and f
 // values. ok is false when every grid point is excluded — or, with the
-// incremental engine's incumbent seed, when no grid point can beat the
-// current lower bound (in which case Algorithm 1 converges on the incumbent
-// exactly as it would have with the naive master).
+// incumbent seed, when no grid point can beat the current lower bound (in
+// which case Algorithm 1 converges on the incumbent exactly as it would
+// have with an unseeded master).
 func (s *solver) solveMaster() (fIdx []int, f []float64, phi float64, ok bool) {
 	switch s.opts.Master {
 	case MasterTraversal:

@@ -23,63 +23,6 @@ type cutTables struct {
 	feasMin [][]float64
 }
 
-// buildTables tabulates every cut. Cuts are independent of each other, so
-// the per-cut work fans out across the solver's workers; each slot is
-// written by exactly one goroutine and the content does not depend on the
-// worker count.
-func (s *solver) buildTables() *cutTables {
-	n := s.cfg.N()
-	t := &cutTables{levels: make([][]float64, n)}
-	for i := 0; i < n; i++ {
-		t.levels[i] = s.cfg.Orgs[i].CPULevels
-	}
-	t.opt = make([][][]float64, len(s.optCuts))
-	t.optMax = make([][]float64, len(s.optCuts))
-	t.optConst = make([]float64, len(s.optCuts))
-	parallel.For(s.workers, len(s.optCuts), func(v int) {
-		c := s.optCuts[v]
-		terms := make([][]float64, n)
-		maxs := make([]float64, n)
-		for i := 0; i < n; i++ {
-			row := make([]float64, len(t.levels[i]))
-			best := math.Inf(-1)
-			for k, fi := range t.levels[i] {
-				row[k] = s.optCutTerm(c, i, fi)
-				if row[k] > best {
-					best = row[k]
-				}
-			}
-			terms[i] = row
-			maxs[i] = best
-		}
-		t.opt[v] = terms
-		t.optMax[v] = maxs
-		t.optConst[v] = s.optCutConst(c)
-	})
-	t.feas = make([][][]float64, len(s.feasCuts))
-	t.feasMin = make([][]float64, len(s.feasCuts))
-	parallel.For(s.workers, len(s.feasCuts), func(w int) {
-		c := s.feasCuts[w]
-		terms := make([][]float64, n)
-		mins := make([]float64, n)
-		for i := 0; i < n; i++ {
-			row := make([]float64, len(t.levels[i]))
-			best := math.Inf(1)
-			for k, fi := range t.levels[i] {
-				row[k] = s.feasCutTerm(c, i, fi)
-				if row[k] < best {
-					best = row[k]
-				}
-			}
-			terms[i] = row
-			mins[i] = best
-		}
-		t.feas[w] = terms
-		t.feasMin[w] = mins
-	})
-	return t
-}
-
 // branchBest is the result of searching one shard of the f grid: the
 // shard's first (in enumeration order) maximizer and its φ value.
 type branchBest struct {
@@ -107,111 +50,24 @@ func reduceBranches(results []branchBest) ([]int, float64, bool) {
 }
 
 // masterTraversal enumerates the full f grid — the paper's traversal
-// method, Θ(m^N) grid points. With more than one worker the grid is
-// sharded over the first organization's CPU levels; each shard enumerates
-// its sub-grid in serial order, and the shard results reduce in index
-// order, so the chosen grid point is byte-identical to the serial scan.
-//
-// With the incremental engine on, the scan runs as a prefix-chain
-// depth-first enumeration instead (masterTraversalIncremental): per-depth
-// partial sums make each grid point cost O(cuts) additions rather than
-// O(N·cuts), and the incumbent seed suppresses only points the algorithm
-// would converge past anyway.
+// method, Θ(m^N) grid points — as a depth-first enumeration whose per-depth
+// partial sums (traversalSearch.assign) rebuild each cut sum as parent + term
+// in organization order: the exact left-to-right fold gridPhi performs, so
+// every φ is bit-identical to a mixed-radix scan of the grid while the
+// shared prefix work drops the per-point cost from O(N·cuts) to O(cuts).
+// No bound pruning is applied beyond the incumbent seed (masterWarmSeed);
+// enumeration order (and hence the first-maximizer tie-break) matches the
+// serial scan, and with more than one worker the tree is sharded over the
+// first organization's CPU levels exactly like masterPruned, with shard
+// results reduced in index order — the chosen grid point is byte-identical
+// for every worker count.
 func (s *solver) masterTraversal() ([]int, []float64, float64, bool) {
-	t := s.ensureTables()
-	if s.inc {
-		return s.masterTraversalIncremental(t)
-	}
-	n := s.cfg.N()
-	roots := len(t.levels[0])
-	if s.workers <= 1 || n < 2 || roots < 2 {
-		return s.masterTraversalSerial(t)
-	}
-	results := parallel.MapLabeled("gbd.traversal", s.workers, roots, func(root int) branchBest {
-		idx := make([]int, n)
-		idx[0] = root
-		best := branchBest{phi: math.Inf(-1)}
-		for {
-			if s.gridFeasible(t, idx) {
-				phi := s.gridPhi(t, idx)
-				if phi > best.phi {
-					best.phi = phi
-					best.idx = append(best.idx[:0], idx...)
-					best.ok = true
-				}
-			}
-			// Advance the mixed-radix counter over organizations 1..n-1.
-			i := n - 1
-			for i >= 1 {
-				idx[i]++
-				if idx[i] < len(t.levels[i]) {
-					break
-				}
-				idx[i] = 0
-				i--
-			}
-			if i < 1 {
-				break
-			}
-		}
-		return best
-	})
-	bestIdx, bestPhi, ok := reduceBranches(results)
-	if !ok {
-		return nil, nil, 0, false
-	}
-	return bestIdx, s.gridF(t, bestIdx), bestPhi, true
-}
-
-// masterTraversalSerial is the single-core full-grid scan.
-func (s *solver) masterTraversalSerial(t *cutTables) ([]int, []float64, float64, bool) {
-	n := s.cfg.N()
-	idx := make([]int, n)
-	bestPhi := math.Inf(-1)
-	var bestIdx []int
-	for {
-		if s.gridFeasible(t, idx) {
-			phi := s.gridPhi(t, idx)
-			if phi > bestPhi {
-				bestPhi = phi
-				bestIdx = append(bestIdx[:0], idx...)
-			}
-		}
-		// Advance the mixed-radix counter.
-		i := n - 1
-		for i >= 0 {
-			idx[i]++
-			if idx[i] < len(t.levels[i]) {
-				break
-			}
-			idx[i] = 0
-			i--
-		}
-		if i < 0 {
-			break
-		}
-	}
-	if bestIdx == nil {
-		return nil, nil, 0, false
-	}
-	return bestIdx, s.gridF(t, bestIdx), bestPhi, true
-}
-
-// masterTraversalIncremental is the incremental engine's full-grid scan: a
-// depth-first enumeration whose per-depth partial sums (prunedSearch.assign)
-// rebuild each cut sum as parent + term in organization order — the exact
-// left-to-right fold gridPhi performs — so every φ is bit-identical to the
-// mixed-radix scan while the shared prefix work drops the per-point cost
-// from O(N·cuts) to O(cuts). No bound pruning is applied beyond the
-// incumbent seed; enumeration order (and hence the first-maximizer
-// tie-break) matches the serial scan, and with more than one worker the
-// tree is sharded at the root exactly like masterPruned.
-func (s *solver) masterTraversalIncremental(t *cutTables) ([]int, []float64, float64, bool) {
+	t := s.tables
 	n := s.cfg.N()
 	seed := s.masterWarmSeed(t)
 	roots := len(t.levels[0])
 	if s.workers <= 1 || n < 2 || roots < 2 {
-		ps := newPrunedSearch(t, nil, n, nil)
+		ps := newTraversalSearch(t, n, nil)
 		ps.bestPhi = seed
 		ps.dfsExhaustive(0)
 		if ps.bestIdx == nil {
@@ -223,7 +79,7 @@ func (s *solver) masterTraversalIncremental(t *cutTables) ([]int, []float64, flo
 	var shared parallel.MaxFloat64
 	shared.Update(seed)
 	results := parallel.MapLabeled("gbd.traversal", s.workers, roots, func(root int) branchBest {
-		ps := newPrunedSearch(t, nil, n, &shared)
+		ps := newTraversalSearch(t, n, &shared)
 		ps.bestPhi = seed
 		ps.assign(0, root)
 		ps.dfsExhaustive(1)
@@ -307,21 +163,19 @@ func newBoundSuffixes(t *cutTables, n int) *boundSuffixes {
 	return b
 }
 
-// prunedSearch is the reusable depth-first search state of masterPruned.
-// Each worker owns one instance; only the shared incumbent bound crosses
-// goroutines.
+// traversalSearch is the reusable depth-first search state of
+// masterTraversal. Each worker owns one instance; only the shared incumbent
+// bound crosses goroutines.
 //
 // Partial sums are kept per depth (opt[d][v] is the sum after assigning
 // organizations < d) and each level is computed fresh as parent + term —
 // never by subtracting on backtrack — so the value at a node is a pure
 // function of the path to it. This keeps shard arithmetic byte-identical
 // to the serial search (an add/subtract scheme would leak floating-point
-// residue from sibling branches into later sums) and removes the drift
-// the subtraction itself introduced.
-type prunedSearch struct {
-	t   *cutTables
-	suf *boundSuffixes
-	n   int
+// residue from sibling branches into later sums).
+type traversalSearch struct {
+	t *cutTables
+	n int
 	// shared is the cross-shard incumbent φ bound; nil in the serial path.
 	shared *parallel.MaxFloat64
 
@@ -332,10 +186,9 @@ type prunedSearch struct {
 	bestIdx   []int
 }
 
-func newPrunedSearch(t *cutTables, suf *boundSuffixes, n int, shared *parallel.MaxFloat64) *prunedSearch {
-	ps := &prunedSearch{
+func newTraversalSearch(t *cutTables, n int, shared *parallel.MaxFloat64) *traversalSearch {
+	ps := &traversalSearch{
 		t:       t,
-		suf:     suf,
 		n:       n,
 		shared:  shared,
 		idx:     make([]int, n),
@@ -355,7 +208,7 @@ func newPrunedSearch(t *cutTables, suf *boundSuffixes, n int, shared *parallel.M
 
 // assign sets organization depth to level k, deriving the next depth's
 // partial sums from the current ones.
-func (ps *prunedSearch) assign(depth, k int) {
+func (ps *traversalSearch) assign(depth, k int) {
 	ps.idx[depth] = k
 	for v, cur := range ps.opt[depth] {
 		ps.opt[depth+1][v] = cur + ps.t.opt[v][depth][k]
@@ -365,56 +218,7 @@ func (ps *prunedSearch) assign(depth, k int) {
 	}
 }
 
-// dfs explores the subtree rooted at depth. Pruning is two-fold:
-// feasibility cuts that cannot return below zero kill the subtree, and the
-// optimistic completion of min-over-cuts prunes against the incumbent —
-// the local one with ≤ (matching the serial first-maximizer tie-break
-// within a shard) and the shared cross-shard bound with strict <, so a
-// shard never discards a point that ties the global optimum and the
-// shard-order reduction reproduces the serial tie-break exactly.
-func (ps *prunedSearch) dfs(depth int) {
-	for w, cur := range ps.feas[depth] {
-		if cur+ps.suf.feas[w][depth] > 1e-12 {
-			return
-		}
-	}
-	if len(ps.t.opt) > 0 {
-		bound := math.Inf(1)
-		for v, cur := range ps.opt[depth] {
-			if b := cur + ps.suf.opt[v][depth]; b < bound {
-				bound = b
-			}
-		}
-		if bound <= ps.bestPhi {
-			return
-		}
-		if ps.shared != nil && bound < ps.shared.Load() {
-			return
-		}
-	}
-	if depth == ps.n {
-		phi := math.Inf(1)
-		for _, cur := range ps.opt[depth] {
-			if cur < phi {
-				phi = cur
-			}
-		}
-		if phi > ps.bestPhi {
-			ps.bestPhi = phi
-			ps.bestIdx = append(ps.bestIdx[:0], ps.idx...)
-			if ps.shared != nil {
-				ps.shared.Update(phi)
-			}
-		}
-		return
-	}
-	for k := range ps.t.levels[depth] {
-		ps.assign(depth, k)
-		ps.dfs(depth + 1)
-	}
-}
-
-// incTables is the incremental engine's layout of the master cut tables:
+// incTables is the pruned master's layout of the master cut tables:
 // depth-major and cut-contiguous. terms[d][k*c+v] holds the depth-d term of
 // (reordered) optimality cut v at level k, so evaluating every cut at one
 // (depth, level) is a single sequential scan instead of c pointer chases
@@ -493,18 +297,21 @@ func newIncTables(t *cutTables, suf *boundSuffixes, n int) *incTables {
 	return it
 }
 
-// incSearch is the incremental engine's fused depth-first search over the
-// flat incTables layout. Per child it computes the next partial sums AND
-// the optimistic bound in one sequential pass — the exact operations dfs
-// performs split across assign and the child's entry checks (each child
-// sum is parent + term, each bound is that sum + the suffix maximum, in
-// the same order on the same operands), so every prune decision, φ value,
-// and the first-maximizer tie-break are byte-identical to dfs. Pruned
-// children never recurse, which removes the call and re-load overhead dfs
-// pays at every bound-pruned node. The bound loop exits as soon as the
-// running min drops to the incumbent: the running min only decreases, so
-// the prune decision equals the full-min decision, and the partial min is
-// still a valid (weaker) upper bound for the prefix-bound cache.
+// incSearch is masterPruned's fused depth-first search over the flat
+// incTables layout. Pruning is two-fold: feasibility cuts that cannot
+// return below zero kill a subtree, and the optimistic completion of
+// min-over-cuts (partial sum + suffix maximum) prunes against the
+// incumbent — the local one with ≤ (matching the serial first-maximizer
+// tie-break within a shard) and the shared cross-shard bound with strict <,
+// so a shard never discards a point that ties the global optimum and the
+// shard-order reduction reproduces the serial tie-break exactly. Per child
+// it computes the next partial sums AND the optimistic bound in one
+// sequential pass, so pruned children never recurse. Each child sum is
+// parent + term in organization order — the left-to-right fold gridPhi
+// performs — so every φ value is bit-identical to a full grid scan. The
+// bound loop exits as soon as the running min drops to the incumbent: the
+// running min only decreases, so the prune decision equals the full-min
+// decision.
 type incSearch struct {
 	t      *incTables
 	n      int
@@ -534,7 +341,7 @@ func newIncSearch(it *incTables, n int, shared *parallel.MaxFloat64) *incSearch 
 	return is
 }
 
-// run performs the entry checks dfs applies at a search root (feasibility
+// run performs the entry checks at a search root (feasibility
 // suffix, optimistic bound vs the local and shared incumbents) and then
 // explores the subtree. Interior nodes skip run: their checks already
 // happened in the parent's fused child loop.
@@ -993,7 +800,7 @@ func (is *incSearch) children(depth int) {
 // cannot win — local incumbent with ≤ (the running min only decreases) and
 // the shared cross-shard bound with strict <, preserving the serial
 // first-maximizer tie-break.
-func (ps *prunedSearch) dfsExhaustive(depth int) {
+func (ps *traversalSearch) dfsExhaustive(depth int) {
 	if depth == ps.n {
 		for _, cur := range ps.feas[depth] {
 			if cur > 1e-12 {
@@ -1027,56 +834,22 @@ func (ps *prunedSearch) dfsExhaustive(depth int) {
 	}
 }
 
-// masterPruned runs exact depth-first search with bound pruning. With more
-// than one worker the tree is sharded at the root over the first
-// organization's CPU levels: every shard searches its subtree with a
-// private incumbent plus a shared atomic bound (published maxima from all
-// shards) so pruning stays effective across workers, and shard results
-// reduce in root order — the returned grid point is byte-identical to the
-// serial search for every worker count.
-// With the incremental engine on, the same tree is searched by incSearch
-// over the flat incTables layout — identical arithmetic fused into one
-// pass per child (see incSearch) — starting from the incumbent seed
-// (masterWarmSeed): the previous master's argmax re-scored under the
-// current tables when still feasible (exact — the seed sits strictly below
-// an attained φ, see masterWarmSeed), else a hair below the lower bound
-// (masterSeed), so subtrees that cannot beat the incumbent are cut
-// immediately while the returned grid point stays byte-identical.
+// masterPruned runs exact depth-first search with bound pruning: incSearch
+// over the flat incTables layout (see incSearch), starting from the
+// incumbent seed (masterWarmSeed) — the previous master's argmax re-scored
+// under the current tables when still feasible (exact — the seed sits
+// strictly below an attained φ, see masterWarmSeed), else a hair below the
+// lower bound (masterSeed) — so subtrees that cannot beat the incumbent are
+// cut immediately. With more than one worker the tree is sharded at the
+// root over the first organization's CPU levels: every shard searches its
+// subtree with a private incumbent plus a shared atomic bound (published
+// maxima from all shards) so pruning stays effective across workers, and
+// shard results reduce in root order — the returned grid point is
+// byte-identical to the serial search for every worker count.
 func (s *solver) masterPruned() ([]int, []float64, float64, bool) {
-	t := s.ensureTables()
+	t := s.tables
 	n := s.cfg.N()
-	suf := newBoundSuffixes(t, n)
-	if s.inc {
-		return s.masterPrunedIncremental(t, suf, n)
-	}
-	roots := len(t.levels[0])
-	if s.workers <= 1 || n < 2 || roots < 2 {
-		ps := newPrunedSearch(t, suf, n, nil)
-		ps.dfs(0)
-		if ps.bestIdx == nil {
-			return nil, nil, 0, false
-		}
-		return ps.bestIdx, s.gridF(t, ps.bestIdx), ps.bestPhi, true
-	}
-	var shared parallel.MaxFloat64
-	results := parallel.MapLabeled("gbd.pruned", s.workers, roots, func(root int) branchBest {
-		ps := newPrunedSearch(t, suf, n, &shared)
-		ps.assign(0, root)
-		ps.dfs(1)
-		return branchBest{phi: ps.bestPhi, idx: ps.bestIdx, ok: ps.bestIdx != nil}
-	})
-	bestIdx, bestPhi, ok := reduceBranches(results)
-	if !ok {
-		return nil, nil, 0, false
-	}
-	return bestIdx, s.gridF(t, bestIdx), bestPhi, true
-}
-
-// masterPrunedIncremental is masterPruned's incremental-engine path: the
-// incSearch fused branch-and-bound over flat tables, warm-seeded and
-// backed by the cross-iteration prefix-bound cache.
-func (s *solver) masterPrunedIncremental(t *cutTables, suf *boundSuffixes, n int) ([]int, []float64, float64, bool) {
-	it := newIncTables(t, suf, n)
+	it := newIncTables(t, newBoundSuffixes(t, n), n)
 	seed := s.masterWarmSeed(t)
 	roots := len(t.levels[0])
 	if s.workers <= 1 || n < 2 || roots < 2 {

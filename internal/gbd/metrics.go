@@ -30,14 +30,13 @@ var (
 		obs.ExpBuckets(1, 4, 14))
 )
 
-// Incremental-engine cache telemetry (tradefl_cache_*): primal-subproblem
+// Incremental-evaluation cache telemetry (tradefl_cache_*): primal-subproblem
 // memoization, incremental cut tabulation, and dominated-cut eviction.
 var (
 	mPrimalHits   = obs.NewCounter("tradefl_cache_primal_hits_total", "primal subproblems served from the f-vector memo")
 	mPrimalMisses = obs.NewCounter("tradefl_cache_primal_misses_total", "primal subproblems solved fresh and memoized")
 	mPrimalEvicts = obs.NewCounter("tradefl_cache_primal_evictions_total", "memoized primal subproblems evicted (FIFO, capacity bound)")
 	mCutTabIncr   = obs.NewCounter("tradefl_cache_cut_tables_incremental_total", "cuts tabulated incrementally into the persistent master tables")
-	mCutTabFull   = obs.NewCounter("tradefl_cache_cut_tables_rebuilt_total", "full master-table rebuilds (naive path: every master call)")
 	mCutsEvicted  = obs.NewCounter("tradefl_cache_cuts_evicted_total", "optimality cuts dropped as strictly dominated by another cut")
 	mMasterSeeded = obs.NewCounter("tradefl_cache_master_seeds_total", "master searches seeded with the incumbent lower bound")
 	mMasterWarm   = obs.NewCounter("tradefl_cache_master_warm_starts_total", "master searches warm-started from the previous argmax grid point")

@@ -2,7 +2,6 @@ package gbd
 
 import (
 	"context"
-	"math"
 
 	"tradefl/internal/accuracy"
 	"tradefl/internal/game"
@@ -27,9 +26,9 @@ type Warm struct {
 	res *Result
 }
 
-// warmKey is the option subset that can change solver output. Workers and
-// Incremental are deliberately excluded: both are byte-identical knobs, so
-// a cached result stays valid across them.
+// warmKey is the option subset that can change solver output. Workers is
+// deliberately excluded: it is a byte-identical knob, so a cached result
+// stays valid across it.
 type warmKey struct {
 	Epsilon float64
 	MaxIter int
@@ -41,7 +40,7 @@ type warmKey struct {
 // rebinds without allocating; a non-fitting one falls back to a fresh
 // solver.
 func (w *Warm) Fits(cfg *game.Config) bool {
-	if w == nil || w.s == nil || !w.s.inc || len(w.s.rhoBar) != cfg.N() {
+	if w == nil || w.s == nil || len(w.s.rhoBar) != cfg.N() {
 		return false
 	}
 	for i := range cfg.Orgs {
@@ -61,19 +60,13 @@ func (s *solver) rebind(cfg *game.Config, opts Options) {
 	s.cfg = cfg
 	s.opts = opts
 	s.workers = parallel.Resolve(opts.Workers)
-	s.inc = opts.Incremental.Enabled()
 	for i := 0; i < n; i++ {
 		s.rhoBar[i] = cfg.RhoRowSum(i)
 		s.zs[i] = cfg.Weight(i)
 		s.scale[i] = cfg.OmegaScale(i)
 	}
-	s.optCuts = s.optCuts[:0]
-	s.feasCuts = s.feasCuts[:0]
 	s.prevIdx = s.prevIdx[:0]
-	s.lb = math.Inf(-1)
-	if s.inc {
-		s.initIncremental()
-	}
+	s.initCaches()
 }
 
 // SolveWarm is Solve with warm-state reuse. When w holds the result of this
@@ -109,7 +102,7 @@ func SolveWarmCtx(ctx context.Context, cfg *game.Config, opts Options, w *Warm) 
 		w = &Warm{}
 	}
 	var s *solver
-	if opts.Incremental.Enabled() && w.Fits(cfg) {
+	if w.Fits(cfg) {
 		s = w.s
 		s.rebind(cfg, opts)
 		mWarmScratch.Inc()

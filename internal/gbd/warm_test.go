@@ -26,7 +26,7 @@ func requireSameResult(t *testing.T, label string, warm, cold *Result) {
 
 // TestSolveWarmResultCache: re-solving the identical instance returns the
 // cached Result verbatim, including across byte-identical option knobs
-// (Workers, Incremental are excluded from the result key).
+// (Workers is excluded from the result key).
 func TestSolveWarmResultCache(t *testing.T) {
 	cfg := warmConfig(t, 7, 8)
 	r1, w, err := SolveWarm(cfg, Options{}, nil)

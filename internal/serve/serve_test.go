@@ -129,11 +129,15 @@ func TestGatewayBadSpecRejected(t *testing.T) {
 	s := startGateway(t, Options{})
 	base := "http://" + s.Addr()
 	for _, body := range []string{
-		`{`,                              // malformed JSON
-		`{}`,                             // neither games nor generate
-		`{"generate":{"count":0}}`,       // empty generation
-		`{"generate":{"count":2000}}`,    // over MaxInstances
+		`{`,                                 // malformed JSON
+		`{}`,                                // neither games nor generate
+		`{"generate":{"count":0}}`,          // empty generation
+		`{"generate":{"count":2000}}`,       // over MaxInstances
 		`{"generate":{"count":1,"n":9999}}`, // over MaxOrgs
+		`{"generate":{"count":1,"n":-1}}`,   // negative N
+		// Over the CPU-level cap, generated and explicit.
+		`{"generate":{"count":1,"n":64,"cpuSteps":100000}}`,
+		`{"games":[{"orgs":[{"cpuLevels":[` + strings.Repeat("3e9,", maxCPULevels) + `3e9]}]}]}`,
 		`{"generate":{"count":1},"plan":"warp"}`,
 		`{"games":[{"orgs":[]}]}`, // fails game.Config.Validate
 	} {

@@ -73,6 +73,13 @@ type Limits struct {
 	MaxInstances int
 }
 
+// maxCPULevels caps the CPU grid of every organization, generated
+// (generate.cpuSteps) or explicit (games[].orgs[].cpuLevels). It sits far
+// above any DVFS grid the mechanism models and well inside the two-byte
+// grid-index key of the CGBD primal memo, which would alias distinct
+// f vectors past 65,536 levels.
+const maxCPULevels = 1024
+
 // model builds the accuracy.Model the spec names.
 func (a AccuracySpec) model() (accuracy.Model, error) {
 	unit := a.OmegaUnit
@@ -159,6 +166,11 @@ func (s *JobSpec) configs(lim Limits) ([]*game.Config, error) {
 			if lim.MaxOrgs > 0 && cfg.N() > lim.MaxOrgs {
 				return nil, fmt.Errorf("instance %d: %d organizations exceed the limit %d", i, cfg.N(), lim.MaxOrgs)
 			}
+			for j, o := range cfg.Orgs {
+				if len(o.CPULevels) > maxCPULevels {
+					return nil, fmt.Errorf("instance %d: organization %d has %d CPU levels, over the limit %d", i, j, len(o.CPULevels), maxCPULevels)
+				}
+			}
 			if err := cfg.Validate(); err != nil {
 				return nil, fmt.Errorf("instance %d: %w", i, err)
 			}
@@ -179,8 +191,18 @@ func (g *GenSpec) configs(lim Limits) ([]*game.Config, error) {
 	if lim.MaxInstances > 0 && g.Count > lim.MaxInstances {
 		return nil, fmt.Errorf("generate: %d instances exceed the per-job limit %d", g.Count, lim.MaxInstances)
 	}
-	if lim.MaxOrgs > 0 && g.N > lim.MaxOrgs {
-		return nil, fmt.Errorf("generate: %d organizations exceed the limit %d", g.N, lim.MaxOrgs)
+	n := g.N
+	if n == 0 {
+		n = game.DefaultN
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("generate: n must not be negative")
+	}
+	if lim.MaxOrgs > 0 && n > lim.MaxOrgs {
+		return nil, fmt.Errorf("generate: %d organizations exceed the limit %d", n, lim.MaxOrgs)
+	}
+	if g.CPUSteps > maxCPULevels {
+		return nil, fmt.Errorf("generate: %d CPU steps exceed the limit %d", g.CPUSteps, maxCPULevels)
 	}
 	seed := g.Seed
 	if seed == 0 {
@@ -189,7 +211,7 @@ func (g *GenSpec) configs(lim Limits) ([]*game.Config, error) {
 	cfgs := make([]*game.Config, g.Count)
 	for i := range cfgs {
 		cfg, err := game.DefaultConfig(game.GenOptions{
-			N:        g.N,
+			N:        n,
 			Mu:       g.Mu,
 			Gamma:    g.Gamma,
 			CPUSteps: g.CPUSteps,

@@ -4,7 +4,7 @@
 // The repo's solvers hold tight mathematical contracts — Theorem 1's
 // weighted-potential identity, Definition 5's budget balance, Algorithm 1's
 // bound sandwich, Definition 6's equilibrium property, and the incremental
-// engine's byte-identical equivalence — and each of those is checkable at
+// evaluator's byte-identical equivalence to Config.Payoff — and each of those is checkable at
 // runtime for a small multiple of the work the solvers already did. This
 // package makes the checks first-class:
 //
@@ -19,7 +19,7 @@
 //     any invariant broke.
 //   - Differential (diff.go) fuzzes random game instances and cross-runs
 //     CGBD against an independent exhaustive solver, DBR against CGBD, and
-//     the incremental engine against the naive path.
+//     the DeltaEvaluator against Config.Payoff (CheckIncremental).
 //
 // The mutation self-tests prove the auditor is live: for every invariant
 // family they inject a violation (a potential drop, an asymmetric ρ, a

@@ -21,14 +21,23 @@ go build ./...
 echo "==> go test -race ./internal/obs (telemetry fast gate)"
 go test -race ./internal/obs/
 
-echo "==> incremental-engine fast gate (byte-identical A/B under -race + 1-iteration bench smoke)"
-# The equivalence suite is the exactness contract of the -incremental
-# engine: DeltaEvaluator vs naive payoffs (plus fuzz seed corpus), DBR and
-# CGBD solves on vs off. It runs first so a broken cache fails in seconds,
-# then a single-iteration bench pass proves the tracked harness end to end
-# without timing anything.
-go test -race -run 'Delta|Engine|Incremental|ZeroAlloc|PrimalMemo|CutDomination' \
-  ./internal/game/ ./internal/dbr/ ./internal/gbd/
+echo "==> incremental-engine fast gate (equivalence to the reference oracles under -race + 1-iteration bench smoke)"
+# The equivalence suite is the exactness contract of the incremental
+# engine, the only evaluation path: DeltaEvaluator vs Config.Payoff (plus
+# fuzz seed corpus), the DBR engine and Solve vs the naive best-response
+# scan and Algorithm 2 sweep, and the CGBD masters vs a full grid scan over
+# freshly tabulated cuts (replayed cut by cut). It runs first so a broken
+# cache fails in seconds, then a single-iteration bench pass proves the
+# tracked harness end to end without timing anything. The gate fails if
+# the regex selects no test in any of the three packages.
+inc_out="$(go test -race -v -run 'Delta|Engine|Incremental|MatchesNaive|ZeroAlloc|PrimalMemo|CutDomination' \
+  ./internal/game/ ./internal/dbr/ ./internal/gbd/)" || { echo "$inc_out"; exit 1; }
+if grep -q 'no tests to run' <<<"$inc_out"; then
+  echo "$inc_out"; echo "incremental fast gate: a package ran no tests"; exit 1
+fi
+inc_n="$(grep -c -- '^--- PASS' <<<"$inc_out" || true)"
+[ "$inc_n" -gt 0 ] || { echo "incremental fast gate: regex selected no tests"; exit 1; }
+echo "incremental fast gate: $inc_n tests passed"
 BENCH_TIME=1x BENCH_COUNT=1 scripts/bench.sh >/dev/null
 
 echo "==> fleet fast gate (batch determinism + planner under -race)"
